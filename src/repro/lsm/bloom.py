@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from typing import Iterable
 
 __all__ = ["BloomFilter"]
 
 
+_unpack_u64_pair = struct.Struct("<QQ").unpack
+
+
 def _hash128(key: bytes) -> tuple[int, int]:
-    digest = hashlib.blake2b(key, digest_size=16).digest()
-    return (
-        int.from_bytes(digest[:8], "little"),
-        int.from_bytes(digest[8:], "little") | 1,  # odd => good stride
-    )
+    h1, h2 = _unpack_u64_pair(hashlib.blake2b(key, digest_size=16).digest())
+    return h1, h2 | 1  # odd => good stride
 
 
 class BloomFilter:
@@ -38,17 +39,25 @@ class BloomFilter:
         self.num_added = 0
 
     def add(self, key: bytes) -> None:
-        h1, h2 = _hash128(key)
-        bits = self._bits
-        n = self.num_bits
-        for i in range(self.k):
-            bits |= 1 << ((h1 + i * h2) % n)
-        self._bits = bits
-        self.num_added += 1
+        self.add_all((key,))
 
     def add_all(self, keys: Iterable[bytes]) -> None:
-        for k in keys:
-            self.add(k)
+        """Set each key's ``k`` probe bits ``(h1 + i*h2) % n`` in a byte
+        buffer, stepped without the multiply; merge with one big-int OR."""
+        n, k = self.num_bits, self.k
+        buf = bytearray((n + 7) // 8)
+        added = 0
+        for key in keys:
+            h1, h2 = _hash128(key)
+            pos, step = h1 % n, h2 % n
+            for _ in range(k):
+                buf[pos >> 3] |= 1 << (pos & 7)
+                pos += step
+                if pos >= n:
+                    pos -= n
+            added += 1
+        self._bits |= int.from_bytes(buf, "little")
+        self.num_added += added
 
     def may_contain(self, key: bytes) -> bool:
         h1, h2 = _hash128(key)

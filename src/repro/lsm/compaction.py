@@ -124,15 +124,20 @@ def merge_for_compaction(job: CompactionJob, num_levels: int) -> list:
     return list(merged)
 
 
-def split_into_files(entries: list, target_bytes: int) -> list:
-    """Partition merged output into SST-sized chunks."""
+def split_into_files(entries: list, target_bytes: int,
+                     sizes: Optional[list] = None) -> list:
+    """Partition merged output into SST-sized chunks.
+
+    ``sizes`` are the entries' :func:`entry_size` values when the caller
+    already has them (the compaction path sizes its output once)."""
     if target_bytes <= 0:
         raise ValueError("target_bytes must be positive")
+    if sizes is None:
+        sizes = map(entry_size, entries)
     out: list[list] = []
     cur: list = []
     cur_bytes = 0
-    for e in entries:
-        sz = entry_size(e)
+    for e, sz in zip(entries, sizes, strict=True):
         if cur and cur_bytes + sz > target_bytes:
             out.append(cur)
             cur, cur_bytes = [], 0

@@ -22,7 +22,7 @@ from ..device.cpu import CpuModel
 from ..faults.registry import fault_point, touch
 from ..resil.errors import DeviceError
 from ..sim import Environment, Event, Interrupt, Store
-from ..types import KIND_DELETE, KIND_PUT, Entry, entry_size, make_entry, value_size
+from ..types import KIND_DELETE, KIND_PUT, entry_size, make_entry
 from .compaction import CompactionJob, CompactionPicker, merge_for_compaction, split_into_files
 from .fs import FileSystem, FsError, PageCache
 from .iterator import merging_iterator
@@ -394,7 +394,7 @@ class DbImpl:
             yield from fault_point(self.env, "db.flush.start")
         entries = mem.entries()
         if entries:
-            nbytes = sum(entry_size(e) for e in entries)
+            nbytes = mem.approximate_bytes   # exact: the entries' size sum
             yield from self.host_cpu.consume(nbytes * opt.cpu.flush_per_byte,
                                              tag=f"{self.name}.flush")
             number = self.versions.new_file_number()
@@ -507,10 +507,12 @@ class DbImpl:
         if self.env.faults is not None or self.env.journal is not None:
             yield from fault_point(self.env, "db.compact.start")
         merged = merge_for_compaction(job, opt.num_levels)
-        output_groups = split_into_files(merged, opt.target_file_size_base)
+        sizes = [entry_size(e) for e in merged]   # sized once, reused below
+        output_groups = split_into_files(merged, opt.target_file_size_base,
+                                         sizes)
 
         input_bytes = job.input_bytes
-        output_bytes = sum(sum(entry_size(e) for e in g) for g in output_groups)
+        output_bytes = sum(sizes)
         self.stats.compaction_bytes_read += input_bytes
         self.stats.compaction_bytes_written += output_bytes
         tel = self.env.telemetry
@@ -550,10 +552,13 @@ class DbImpl:
 
         # Phase 2: build and write the output files.
         added: list[FileMetadata] = []
+        pos = 0
         for group in output_groups:
             number = self.versions.new_file_number()
             table = SSTable(number, group, block_size=opt.block_size,
-                            bloom_bits_per_key=opt.bloom_bits_per_key)
+                            bloom_bits_per_key=opt.bloom_bits_per_key,
+                            sizes=sizes[pos:pos + len(group)])
+            pos += len(group)
             meta = FileMetadata(number=number, level=job.output_level,
                                 table=table)
             added.append(meta)
@@ -659,19 +664,13 @@ class DbImpl:
         self.stats.user_seeks += 1
 
         sst_cost = [0]  # mutable cell shared with the wrapped sources
-
-        def wrap_sst(meta: FileMetadata):
-            for e in meta.table.iter_from(start_key):
-                sst_cost[0] += entry_size(e)
-                yield e
-
         sources: list = [self.mem.iter_from(start_key)]
         for m, _seg in reversed(self.imm):
             sources.append(m.iter_from(start_key))
         v = self.versions.current
-        for meta in sorted(v.level_files(0), key=lambda f: -f.number):
+        for meta in v.l0_newest_first:
             if meta.largest >= start_key:
-                sources.append(wrap_sst(meta))
+                sources.append(self._level_source([meta], start_key, sst_cost))
         for level in range(1, v.num_levels):
             files = [m for m in v.level_files(level) if m.largest >= start_key]
             if files:

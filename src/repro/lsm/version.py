@@ -2,23 +2,27 @@
 
 A :class:`Version` is an immutable snapshot of the level structure
 (copy-on-write, so in-flight reads and compactions see consistent state
-while new versions install).  :class:`VersionSet` applies
-:class:`VersionEdit` s, persists them to a MANIFEST file, and computes the
-two statistics the write-stall machinery watches: per-level compaction
-scores and the estimated *pending compaction bytes* (RocksDB's
+while new versions install).  It computes, once, the two statistics the
+write-stall machinery watches: per-level compaction scores and the
+estimated *pending compaction bytes* (RocksDB's
 ``estimated-pending-compaction-bytes``, the third stall trigger in the
-paper's taxonomy).
+paper's taxonomy).  :class:`VersionSet` applies :class:`VersionEdit` s,
+persists them to a MANIFEST file, and audits each version it installs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from operator import attrgetter
+from typing import Generator, Optional, Sequence
 
 from .options import LsmOptions
 from .sstable import SSTable
 
 __all__ = ["FileMetadata", "VersionEdit", "Version", "VersionSet"]
+
+_largest = attrgetter("largest")
 
 
 @dataclass
@@ -57,23 +61,54 @@ class VersionEdit:
 
 
 class Version:
-    """Immutable level structure."""
+    """Immutable level structure and the statistics derived from it.
 
-    def __init__(self, num_levels: int,
-                 levels: Optional[list] = None):
+    Levels are tuples, never mutated once built; a new version comes from
+    :meth:`apply_edit`.  Per-level bytes and the newest-first L0 order are
+    computed at construction, and the stall statistics (level targets,
+    scores, pending compaction bytes) once per version on first query, so
+    every poll of them is O(1).
+    """
+
+    def __init__(self, num_levels: int, levels: Optional[Sequence] = None,
+                 level_bytes: Optional[Sequence[int]] = None):
         self.num_levels = num_levels
-        self.levels: list[list[FileMetadata]] = (
-            levels if levels is not None else [[] for _ in range(num_levels)]
-        )
+        self.levels = (tuple(tuple(lvl) for lvl in levels)
+                       if levels is not None else ((),) * num_levels)
+        self._level_bytes = tuple(
+            level_bytes if level_bytes is not None
+            else (sum(f.file_bytes for f in lvl) for lvl in self.levels))
+        # L0 files may overlap: newer file numbers hold newer data.
+        self.l0_newest_first = tuple(
+            sorted(self.levels[0], key=lambda f: -f.number))
+        self._stats = None   # (knobs, targets, scores, debt)
 
-    def clone(self) -> "Version":
-        return Version(self.num_levels, [list(lvl) for lvl in self.levels])
+    def apply_edit(self, edit: VersionEdit) -> "Version":
+        """The version that results from applying ``edit`` to this one.
+
+        Only the levels the edit touches are rebuilt, and their bytes are
+        derived from this version's: minus removed files, plus added ones.
+        """
+        levels = list(self.levels)
+        level_bytes = list(self._level_bytes)
+        removed = set(edit.removed)
+        touched = {lvl for lvl, _ in edit.removed} | {m.level for m in edit.added}
+        for level in touched:
+            files = [f for f in levels[level] if (level, f.number) not in removed]
+            new = [m for m in edit.added if m.level == level]
+            level_bytes[level] += sum(m.file_bytes for m in new) - sum(
+                f.file_bytes for f in levels[level] if (level, f.number) in removed)
+            files += new
+            if level > 0:
+                files.sort(key=lambda f: f.smallest)
+            levels[level] = files
+        return Version(self.num_levels, levels, level_bytes)
 
     # -- queries ------------------------------------------------------------
     def level_bytes(self, level: int) -> int:
-        return sum(f.file_bytes for f in self.levels[level])
+        return self._level_bytes[level]
 
-    def level_files(self, level: int) -> list:
+    def level_files(self, level: int) -> tuple:
         return self.levels[level]
 
     @property
@@ -81,7 +116,7 @@ class Version:
         return len(self.levels[0])
 
     def total_bytes(self) -> int:
-        return sum(self.level_bytes(l) for l in range(self.num_levels))
+        return sum(self._level_bytes)
 
     def total_files(self) -> int:
         return sum(len(l) for l in self.levels)
@@ -98,83 +133,77 @@ class Version:
         number order (newer numbers are newer data).  L1+ are disjoint, so
         at most one file per level matters.
         """
-        for f in sorted(self.levels[0], key=lambda f: -f.number):
+        for f in self.l0_newest_first:
             if f.smallest <= key <= f.largest:
                 yield f
-        for level in range(1, self.num_levels):
-            files = self.levels[level]
-            lo, hi = 0, len(files)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if files[mid].largest < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
+        for files in self.levels[1:]:
+            lo = bisect_left(files, key, key=_largest)
             if lo < len(files) and files[lo].smallest <= key <= files[lo].largest:
                 yield files[lo]
 
     # -- stall statistics -----------------------------------------------------
-    def level_targets(self, options: LsmOptions) -> list:
-        """Dynamic level size targets (RocksDB's
-        ``level_compaction_dynamic_level_bytes``, default since v8).
-
-        The bottommost non-empty level is the resting place: its target is
-        its own size (never "over target").  Each level above targets
-        1/multiplier of the one below, floored at base/multiplier, so
-        scores stay balanced as the tree deepens instead of letting a
-        statically-undersized L1 monopolize the picker.
-        """
-        n = self.num_levels
+    def _stats_for(self, options: LsmOptions) -> tuple:
+        """(knobs, targets, scores, pending bytes), computed once per
+        version for the options' level-sizing knobs."""
+        knobs = (options.max_bytes_for_level_base,
+                 options.max_bytes_for_level_multiplier,
+                 options.level0_file_num_compaction_trigger)
+        stats = self._stats
+        if stats is not None and stats[0] == knobs:
+            return stats
+        base, multiplier, trigger = knobs
+        n, sizes = self.num_levels, self._level_bytes
+        # Dynamic level size targets (RocksDB's
+        # ``level_compaction_dynamic_level_bytes``, default since v8).  The
+        # bottommost non-empty level is the resting place: its target is
+        # its own size (never "over target").  Each level above targets
+        # 1/multiplier of the one below, floored at base/multiplier, so
+        # scores stay balanced as the tree deepens instead of letting a
+        # statically-undersized L1 monopolize the picker.
         targets = [0.0] * n
         nonempty = [l for l in range(1, n) if self.levels[l]]
         bottom = max(nonempty) if nonempty else 1
-        targets[bottom] = max(float(self.level_bytes(bottom)),
-                              float(options.max_bytes_for_level_base))
-        floor = options.max_bytes_for_level_base / options.max_bytes_for_level_multiplier
+        targets[bottom] = max(float(sizes[bottom]), float(base))
+        floor = base / multiplier
         for level in range(bottom - 1, 0, -1):
-            targets[level] = max(targets[level + 1]
-                                 / options.max_bytes_for_level_multiplier,
-                                 floor)
+            targets[level] = max(targets[level + 1] / multiplier, floor)
         for level in range(bottom + 1, n):
-            targets[level] = max(targets[level - 1]
-                                 * options.max_bytes_for_level_multiplier,
-                                 float(options.max_bytes_for_level_base))
-        return targets
+            targets[level] = max(targets[level - 1] * multiplier, float(base))
+        # RocksDB-style scores: >= 1.0 means the level needs compaction.
+        scores = [self.l0_count / trigger] + [
+            sizes[level] / targets[level] for level in range(1, n)]
+        # Pending bytes approximate RocksDB's estimate: every byte above a
+        # level's target must move down (and be merged with overlap,
+        # counted once here), and all L0 bytes beyond the compaction
+        # trigger are debt.
+        debt = sizes[0] if self.l0_count >= trigger else 0
+        for level in range(1, n - 1):
+            excess = sizes[level] - targets[level]
+            if excess > 0:
+                debt += int(excess)
+        stats = self._stats = (knobs, tuple(targets), tuple(scores), debt)
+        return stats
+
+    def level_targets(self, options: LsmOptions) -> tuple:
+        """Dynamic per-level size targets (see :meth:`_stats_for`)."""
+        return self._stats_for(options)[1]
 
     def compaction_score(self, options: LsmOptions, level: int) -> float:
         """RocksDB-style score: >= 1.0 means the level needs compaction."""
-        if level == 0:
-            return self.l0_count / options.level0_file_num_compaction_trigger
-        targets = self.level_targets(options)
-        return self.level_bytes(level) / targets[level]
+        return self._stats_for(options)[2][level]
 
     def best_compaction_level(self, options: LsmOptions) -> tuple[int, float]:
         """(level, score) of the most urgent compaction candidate."""
+        scores = self._stats_for(options)[2]
         best_level, best_score = -1, 0.0
         for level in range(self.num_levels - 1):
-            score = self.compaction_score(options, level)
-            if score > best_score:
-                best_level, best_score = level, score
+            if scores[level] > best_score:
+                best_level, best_score = level, scores[level]
         return best_level, best_score
 
     def pending_compaction_bytes(self, options: LsmOptions) -> int:
-        """Estimated bytes that must be rewritten to bring scores under 1.
-
-        Approximates RocksDB's estimate: every byte above a level's target
-        must move down (and be merged with overlap, counted once here), and
-        all L0 bytes beyond the compaction trigger are debt.
-        """
-        debt = 0
-        l0_bytes = self.level_bytes(0)
-        trigger = options.level0_file_num_compaction_trigger
-        if self.l0_count >= trigger:
-            debt += l0_bytes
-        targets = self.level_targets(options)
-        for level in range(1, self.num_levels - 1):
-            excess = self.level_bytes(level) - targets[level]
-            if excess > 0:
-                debt += int(excess)
-        return debt
+        """Estimated bytes that must be rewritten to bring scores under 1."""
+        return self._stats_for(options)[3]
 
 
 class VersionSet:
@@ -201,22 +230,13 @@ class VersionSet:
     def log_and_apply(self, edit: VersionEdit) -> Generator:
         """Persist the edit and atomically install the new version.
 
-        Manifest I/O happens *before* the in-memory mutation: the clone ->
-        mutate -> install sequence contains no yields, so concurrent flush
+        Manifest I/O happens *before* the in-memory switch: the apply ->
+        validate -> install sequence contains no yields, so concurrent flush
         and compaction installs cannot lose each other's updates.
         """
         if self._manifest is not None:
             yield from self.fs.append(self._manifest, edit.encoded_size())
-        new = self.current.clone()
-        removed = set(edit.removed)
-        for level in range(new.num_levels):
-            new.levels[level] = [
-                f for f in new.levels[level] if (level, f.number) not in removed
-            ]
-        for meta in edit.added:
-            new.levels[meta.level].append(meta)
-        for level in range(1, new.num_levels):
-            new.levels[level].sort(key=lambda f: f.smallest)
+        new = self.current.apply_edit(edit)
         self._validate(new)
         self.current = new
         self.edit_count += 1
@@ -240,16 +260,7 @@ class VersionSet:
         """
         replayed = Version(self.options.num_levels)
         for edit in self.manifest_journal:
-            removed = set(edit.removed)
-            for level in range(replayed.num_levels):
-                replayed.levels[level] = [
-                    f for f in replayed.levels[level]
-                    if (level, f.number) not in removed
-                ]
-            for meta in edit.added:
-                replayed.levels[meta.level].append(meta)
-            for level in range(1, replayed.num_levels):
-                replayed.levels[level].sort(key=lambda f: f.smallest)
+            replayed = replayed.apply_edit(edit)
         self._validate(replayed)
         got = [[f.number for f in lvl] for lvl in replayed.levels]
         want = [[f.number for f in lvl] for lvl in self.current.levels]
@@ -260,7 +271,23 @@ class VersionSet:
 
     @staticmethod
     def _validate(version: Version) -> None:
-        """L1+ must stay sorted and non-overlapping (LSM invariant)."""
+        """Audit a version before it is installed: every level is a tuple
+        whose cached bytes equal its files' sum, the cached L0 order is
+        newest-first, and L1+ stay sorted and non-overlapping (the LSM
+        invariant)."""
+        for level, files in enumerate(version.levels):
+            cached = version._level_bytes[level]
+            total = sum(f.file_bytes for f in files)
+            if not isinstance(files, tuple) or cached != total:
+                raise AssertionError(
+                    f"L{level} ({type(files).__name__}) cached bytes {cached}"
+                    f" vs {total} summed over files "
+                    f"{[f.number for f in files]}")
+        newest_first = sorted(version.levels[0], key=lambda f: -f.number)
+        if list(version.l0_newest_first) != newest_first:
+            raise AssertionError(
+                f"L0 cached order {[f.number for f in version.l0_newest_first]}"
+                f" != newest-first {[f.number for f in newest_first]}")
         for level in range(1, version.num_levels):
             files = version.levels[level]
             for a, b in zip(files, files[1:]):

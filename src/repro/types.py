@@ -84,7 +84,9 @@ def entry_size(entry: Entry) -> int:
     (sequence + type packed in 8 bytes).
     """
     key, _seq, _kind, value = entry
-    return len(key) + value_size(value) + 8
+    if isinstance(value, ValueRef):
+        return len(key) + value.size + 8
+    return len(key) + (len(value) if value is not None else 0) + 8
 
 
 def encode_key(n: int, width: int = 4) -> bytes:

@@ -1,5 +1,7 @@
 """Tests for the bloom filter and the binary codec."""
 
+import hashlib
+
 import pytest
 
 from repro.lsm import (
@@ -28,6 +30,24 @@ class TestBloom:
         # 10 bits/key should be ~1% FP; allow generous slack.
         assert fp / 20_000 < 0.05
         assert bf.false_positive_rate() < 0.05
+
+    @pytest.mark.parametrize("n,bits_per_key,digest", [
+        (300, 10, "7545123f16f715a19f05cb56"),
+        (7, 3, "74f5fde4d1553fdbfa37e5cc"),
+        (1000, 16, "99d0ce4939980b56c0650560"),
+    ])
+    def test_bits_pinned_and_batch_equals_single(self, n, bits_per_key,
+                                                 digest):
+        keys = [encode_key(i * 37) for i in range(n)]
+        single = BloomFilter(n, bits_per_key)
+        for k in keys:
+            single.add(k)
+        batch = BloomFilter(n, bits_per_key)
+        batch.add_all(keys)
+        assert batch._bits == single._bits
+        assert batch.num_added == single.num_added == n
+        raw = batch._bits.to_bytes(batch.num_bits // 8 + 1, "little")
+        assert hashlib.sha256(raw).hexdigest()[:24] == digest
 
     def test_empty_filter_rejects(self):
         bf = BloomFilter(0)

@@ -116,3 +116,22 @@ def test_serialization_roundtrip():
     assert [e[0] for e in t2.entries] == [e[0] for e in t.entries]
     r = t2.probe(encode_key(7))
     assert r.entry[3] == b"v" * 8
+
+
+def test_data_bytes_is_sum_of_entry_sizes():
+    from repro.types import KIND_DELETE, ValueRef, entry_size
+    entries = [make_entry(encode_key(i), i + 1,
+                          None if i % 5 == 0 else
+                          ValueRef(i, 300) if i % 2 else b"v" * i,
+                          kind=KIND_DELETE if i % 5 == 0 else None)
+               for i in range(200)]
+    sizes = [entry_size(e) for e in entries]
+    t = SSTable(1, entries, block_size=1024)
+    assert t.data_bytes == sum(sizes)
+    assert sum(t.block_bytes(b) for b in range(t.num_blocks)) == sum(sizes)
+    # Carried sizes build the identical table.
+    c = SSTable(1, entries, block_size=1024, sizes=sizes)
+    assert (c.file_bytes, c._block_starts, c._block_bytes, c.bloom._bits) == \
+        (t.file_bytes, t._block_starts, t._block_bytes, t.bloom._bits)
+    with pytest.raises(ValueError):
+        SSTable(1, entries, sizes=sizes[:-1])

@@ -14,7 +14,7 @@ from repro.lsm import (
     merge_for_compaction,
     split_into_files,
 )
-from repro.types import KIND_DELETE, encode_key, make_entry
+from repro.types import KIND_DELETE, encode_key, entry_size, make_entry
 
 
 def opts(**kw):
@@ -130,6 +130,60 @@ class TestVersion:
         assert got == []
 
 
+class TestVersionAudit:
+    """``VersionSet._validate`` audits the cached data of every version it
+    installs; each of these versions carries a deliberately stale cache."""
+
+    def _levels(self):
+        levels = [[] for _ in range(7)]
+        levels[0] = [meta(1, 0, 0, 10), meta(4, 0, 5, 15)]
+        levels[3] = [meta(2, 3, 0, 20), meta(3, 3, 30, 40)]
+        return levels
+
+    def test_fresh_version_passes(self):
+        VersionSet._validate(Version(7, self._levels()))
+
+    def test_stale_level_bytes_caught(self):
+        levels = self._levels()
+        stale = [sum(f.file_bytes for f in lvl) for lvl in levels]
+        stale[3] -= levels[3][1].file_bytes   # forgot file #3 was added
+        with pytest.raises(AssertionError, match=r"L3 .*\[2, 3\]"):
+            VersionSet._validate(Version(7, levels, level_bytes=stale))
+
+    def test_stale_l0_order_caught(self):
+        v = Version(7, self._levels())
+        v.l0_newest_first = tuple(reversed(v.l0_newest_first))
+        with pytest.raises(AssertionError, match=r"L0 .*\[1, 4\].*\[4, 1\]"):
+            VersionSet._validate(v)
+
+    def test_mutable_level_caught(self):
+        v = Version(7, self._levels())
+        v.levels = (list(v.levels[0]),) + v.levels[1:]
+        with pytest.raises(AssertionError, match=r"L0 \(list\).*\[1, 4\]"):
+            VersionSet._validate(v)
+
+    def test_versions_are_tuples_and_never_mutated(self):
+        vs = VersionSet(opts())
+        vs.apply(VersionEdit(added=[meta(1, 0, 0, 10), meta(2, 1, 0, 10)]))
+        before = vs.current
+        shape = [list(lvl) for lvl in before.levels]
+        vs.apply(VersionEdit(added=[meta(3, 0, 0, 5)], removed=[(1, 2)]))
+        assert vs.current is not before
+        assert [list(lvl) for lvl in before.levels] == shape
+        assert all(isinstance(lvl, tuple) for lvl in vs.current.levels)
+        # An untouched level is shared with the parent, not copied.
+        assert vs.current.levels[2] is before.levels[2]
+
+    def test_manifest_replay_divergence_raises(self):
+        vs = VersionSet(opts())
+        vs.apply(VersionEdit(added=[meta(1, 0, 0, 10)]))
+        vs.apply(VersionEdit(added=[meta(2, 1, 0, 10)]))
+        assert vs.rebuild_from_journal().levels == vs.current.levels
+        del vs.manifest_journal[1]   # a lost manifest record
+        with pytest.raises(AssertionError, match="diverged"):
+            vs.rebuild_from_journal()
+
+
 class TestPicker:
     def test_picks_l0_when_triggered(self):
         o = opts(level0_file_num_compaction_trigger=2)
@@ -214,8 +268,22 @@ class TestMergeAndSplit:
         groups = split_into_files(entries, target_bytes=1000)
         assert sum(len(g) for g in groups) == 100
         for g in groups[:-1]:
-            from repro.types import entry_size
             assert sum(entry_size(e) for e in g) <= 1000 + 120
+
+    def test_split_reuses_carried_sizes(self):
+        entries = [make_entry(encode_key(i), i, b"v" * (i % 7 * 40))
+                   for i in range(60)]
+        sizes = [entry_size(e) for e in entries]
+        groups = split_into_files(entries, 700, sizes)
+        assert groups == split_into_files(entries, 700)
+        pos = 0
+        for g in groups:
+            # each group's total is the sum of its entries' sizes
+            assert sum(sizes[pos:pos + len(g)]) == sum(map(entry_size, g))
+            pos += len(g)
+        assert pos == len(entries)
+        with pytest.raises(ValueError):
+            split_into_files(entries, 700, sizes[:-1])
 
     def test_split_empty(self):
         assert split_into_files([], 100) == []

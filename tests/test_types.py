@@ -79,3 +79,23 @@ class TestEntries:
     def test_entry_size_with_ref(self):
         e = make_entry(b"abcd", 1, ValueRef(0, 4096))
         assert entry_size(e) == 4 + 4096 + 8
+
+
+class TestEntrySize:
+    """``entry_size`` is key + payload + 8 bytes of internal-key suffix for
+    every value representation."""
+
+    @pytest.mark.parametrize("value", [
+        b"payload", b"", ValueRef(seed=3, size=4096), ValueRef(seed=0, size=0),
+        None, bytearray(b"mutable"),
+    ])
+    def test_matches_key_plus_value_plus_suffix(self, value):
+        key = encode_key(42)
+        kind = KIND_DELETE if value is None else KIND_PUT
+        entry = make_entry(key, 7, value, kind=kind)
+        assert entry_size(entry) == len(key) + value_size(value) + 8
+
+    def test_pinned_values(self):
+        assert entry_size((b"abcd", 1, KIND_PUT, b"x" * 100)) == 112
+        assert entry_size((b"abcd", 1, KIND_PUT, ValueRef(1, 4096))) == 4108
+        assert entry_size((b"abcd", 1, KIND_DELETE, None)) == 12
