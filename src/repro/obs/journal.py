@@ -15,8 +15,9 @@ but a failed golden check used to be a giant diff of final series.  Two
 journals of the "same" run turn that into *"first divergent event at
 t=…, process=…, site=…"*:
 
-* **events** — the kernel's ``_run_journaled`` loop records one entry
-  per dispatched event;
+* **events** — the kernel's instrumented dispatch loop
+  (``Environment._run_instrumented``, shared with the kernel profiler)
+  records one entry per dispatched event;
 * **sites** — the ``fault_point``/``touch`` chokepoint in
   ``repro.faults.registry`` records every named site visit (with or
   without a FaultRegistry installed), so divergence reports can name the
@@ -126,7 +127,8 @@ class Journal:
     # -- wiring ------------------------------------------------------------
     def install(self, env) -> "Journal":
         """Attach to an Environment; the kernel finds us via
-        ``env.journal`` and switches to its journaled dispatch loop."""
+        ``env.journal`` and switches to its instrumented dispatch
+        loop."""
         env.journal = self
         self._env = env
         return self
@@ -171,6 +173,13 @@ class Journal:
         two runs checkpoint at identical labels while their trajectories
         agree."""
         ck_t = self._next_ckpt
+        if t == float("inf"):
+            # An event at +inf crosses every remaining boundary at once:
+            # one last checkpoint, labeled +inf, and none after it.
+            if ck_t != t:
+                self._next_ckpt = t
+                self._digest_all(t)
+            return
         # Skip idle gaps: one checkpoint per crossing, labeled with the
         # last boundary at or before t.
         nxt = self._next_ckpt

@@ -83,8 +83,8 @@ class Event:
         self.env = env
         self.callbacks: list[Callable[["Event"], None]] = []
         # Fast slot: the single Process waiting on this event, when that
-        # process registered first and alone.  The dispatch loops resume it
-        # inline, skipping the _resume trampoline frame; any further
+        # process registered first and alone.  run()'s inlined loop resumes
+        # it inline, skipping the _resume trampoline frame; any further
         # waiters go through the callbacks list as usual.
         self._proc: Optional["Process"] = None
         self._value: Any = None
@@ -308,7 +308,7 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         # NOTE: run() inlines this method for the fast-slot path (one
         # Python frame per event saved); behavioural changes here must be
-        # mirrored in the run() loop bodies.
+        # mirrored in the run() loop body.
         if self._state != _PENDING:  # e.g. interrupted after termination
             return
         env = self.env
@@ -448,6 +448,29 @@ class MacroStats:
         }
 
 
+def _resumed_names(event: Event) -> list[str]:
+    """Names of the processes ``event`` resumes when dispatched, in resume
+    order: the fast-slot waiter first, then the callback-list waiters.  The
+    journal records the first as the event's owner; the kernel profiler
+    counts one resume for each."""
+    proc = event._proc
+    names = [] if proc is None else [proc.name]
+    for cb in event.callbacks:
+        owner = getattr(cb, "__self__", None)
+        if type(owner) is Process:
+            names.append(owner.name)
+    return names
+
+
+def _stop_value(event: Event) -> Any:
+    """``run(until=event)``'s result: the event's value, or its exception."""
+    if event._state != _PROCESSED:
+        raise SimulationError("run(until=event): event never fired")
+    if not event._ok:
+        raise event._value
+    return event._value
+
+
 # Upper bound on recycled instances kept per freelist per Environment.
 # Sized to cover every concurrently-pending hot event in real experiments
 # (drivers + samplers + pollers is tens, not hundreds) while bounding idle
@@ -489,8 +512,9 @@ class Environment:
         # while installed and is untouched otherwise.
         self.kernel_profiler = None
         # Optional repro.obs.Journal flight recorder; run() delegates to
-        # the journaled loop while installed.  Purely passive — it never
-        # schedules events — so journaled trajectories are bit-identical.
+        # the same instrumented loop while installed.  Purely passive — it
+        # never schedules events — so journaled trajectories are
+        # bit-identical.
         self.journal = None
         # Macro-event coalescing counters (always on: three int adds per
         # burst, no per-op cost).
@@ -647,7 +671,12 @@ class Environment:
                 self._presume_pool.append(event)
 
     def step(self) -> None:
-        """Process the single next event."""
+        """Process the single next event.
+
+        The reference dispatcher: the loops behind :meth:`run` must
+        execute the same events in the same order as repeated ``step()``
+        calls, with or without a journal installed.
+        """
         q = self._queue
         if not len(q):
             raise SimulationError("no more events")
@@ -657,17 +686,9 @@ class Environment:
         if jr is not None:
             if when >= jr._next_ckpt:
                 jr._checkpoint(when)
-            proc = event._proc
-            if proc is not None:
-                jname = proc.name
-            else:
-                jname = ""
-                for cb in event.callbacks:
-                    owner = getattr(cb, "__self__", None)
-                    if type(owner) is Process:
-                        jname = owner.name
-                        break
-            jr.record_event(when, jname, type(event).__name__)
+            names = _resumed_names(event)
+            jr.record_event(when, names[0] if names else "",
+                            type(event).__name__)
         event._run_callbacks()
         self._recycle(event)
 
@@ -678,8 +699,13 @@ class Environment:
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.
 
-        ``until`` may be a timestamp or an Event; with an Event, returns its
-        value once it fires.
+        ``until`` may be a timestamp or an Event.  A timestamp deadline is
+        exclusive (SimPy semantics): events scheduled exactly at ``until``
+        are left unprocessed and the clock ends on ``until``.  With an
+        Event, the run stops right after that event's callbacks ran and
+        returns its value (or raises its exception); an event that was
+        already processed returns at once without dispatching anything.
+        Without ``until`` the queue is drained, events at +inf included.
 
         The loop inlines :meth:`step` and the event-dispatch body
         (``Event._run_callbacks``) with every per-step lookup cached in
@@ -689,238 +715,118 @@ class Environment:
         directly (the queue mutates those list objects only in place, see
         calqueue.py); determinism (same-timestamp schedule order,
         interrupt priority) lives entirely in the ``(time, priority,
-        seq)`` entry key, which every mode shares.  The loop variants
-        below must stay semantically in lockstep with ``step()``.
+        seq)`` entry key, which every mode shares.  The loop must stay
+        semantically in lockstep with ``step()``; while the kernel
+        profiler or the journal is installed, :meth:`_run_instrumented`
+        runs instead.
 
         Processed hot-class events that nothing else references (refcount
         check) are recycled into the per-class freelists.
         """
-        if self.kernel_profiler is not None:
-            return self._run_profiled(until)
-        if self.journal is not None:
-            return self._run_journaled(until)
         stop_event: Optional[Event] = None
         deadline = float("inf")
         if isinstance(until, Event):
+            if until._state == _PROCESSED:
+                return _stop_value(until)
             stop_event = until
         elif until is not None:
             deadline = float(until)
             if deadline < self._now:
                 raise ValueError(f"until {deadline} is in the past (now={self._now})")
-
-        # Per-step lookups hoisted out of the loop.  cur/heap are the
-        # CalendarQueue's storage lists; the queue only ever mutates them
-        # in place, so the local bindings stay valid across mode switches.
-        q = self._queue
-        cur = q._cur
-        heap = q._heap
-        nowq = q._nowq
-        pop = heappop
-        pool = self._timeout_pool
-        epool = self._event_pool
-        ppool = self._presume_pool
-        pool_cap = _TIMEOUT_POOL_CAP
-        getrefcount = sys.getrefcount
-        PENDING = _PENDING
-        PROCESSED = _PROCESSED
-        timeout_cls = Timeout
-        event_cls = Event
-        presume_cls = _ProcessResume
-
+        # An explicit until=inf drains like until=None: +inf events run.
+        bounded = deadline != float("inf")
+        # The stop event's sentinel callback fills this list, so the stop
+        # test after an event's callbacks is one list truthiness check.
+        stopped: list = []
         if stop_event is not None:
-            # Stop-event runs (rare: drain-to-signal in tests and chaos
-            # harnesses) use the compact reference dispatch; the inlined
-            # variants below cover the perf-critical modes.
-            stopped: list = []
-            if stop_event._state != _PROCESSED:
-                # Cheaper than re-reading stop_event._state every
-                # iteration: one sentinel callback flips a local flag.
-                stop_event.callbacks.append(stopped.append)
-            while len(q):
-                if stopped:
-                    break
-                when, _prio, _seq, event = q._pop_entry()
-                self._now = when
-                event._run_callbacks()
-                self._recycle(event)
-            if stop_event._state != _PROCESSED:
-                raise SimulationError("run(until=event): event never fired")
-            if not stop_event._ok:
-                raise stop_event._value
-            return stop_event._value
+            stop_event.callbacks.append(stopped.append)
 
-        # Two inlined loop variants (drain / deadline) so the per-step body
-        # carries only the checks its mode needs.  Dispatch is identical in
-        # both: the fast-slot waiter (``_proc``) is resumed *inline*,
-        # saving the Process._resume trampoline frame — the inline block
-        # mirrors Process._resume, keep the two in lockstep — then
-        # callbacks run, then the dead event is recycled if unreferenced.
-        # Events are unpacked straight out of the bucket/heap (no entry
-        # local survives dispatch): a live entry tuple would hold a hidden
-        # reference and silently defeat every refcount-gated freelist.
-        # The dequeue head picks min(now-lane head, bucket/heap head) with
-        # at most one tuple comparison; when only the now lane is occupied
-        # (signalling steady state) pops are straight list indexing with
-        # zero comparisons.  Future buckets must be paged in before the
-        # now lane may be served alone — a +inf far entry can rank before
-        # a +inf now-lane entry by seq (see CalendarQueue._pop_entry).
-        if deadline == float("inf"):
-            while True:
-                nptr = q._nptr
-                ptr = q._ptr
-                if ptr < len(cur):
-                    if nptr < len(nowq) and nowq[nptr] < cur[ptr]:
-                        when, _prio, _seq, event = nowq[nptr]
-                        nowq[nptr] = None
-                        q._nptr = nptr + 1
-                    else:
-                        when, _prio, _seq, event = cur[ptr]
-                        cur[ptr] = None
-                        q._ptr = ptr + 1
-                elif heap:
-                    if nptr < len(nowq) and nowq[nptr] < heap[0]:
-                        when, _prio, _seq, event = nowq[nptr]
-                        nowq[nptr] = None
-                        q._nptr = nptr + 1
-                    else:
-                        when, _prio, _seq, event = pop(heap)
-                elif q._n_future:
-                    q._advance()
-                    continue
-                elif nptr < len(nowq):
-                    when, _prio, _seq, event = nowq[nptr]
-                    nowq[nptr] = None
-                    q._nptr = nptr + 1
-                else:
-                    break
-                self._now = when
-                proc = event._proc
-                if proc is not None:
-                    event._state = PROCESSED
-                    event._proc = None
-                    if proc._state == PENDING:
-                        self._active_process = proc
-                        try:
-                            if event._ok:
-                                nt = proc._send(event._value)
-                            else:
-                                nt = proc._generator.throw(event._value)
-                        except StopIteration as stop:
-                            self._active_process = None
-                            proc._finish(True, stop.value)
-                        except BaseException as exc:
-                            self._active_process = None
-                            proc._finish(False, exc)
-                        else:
-                            self._active_process = None
-                            try:
-                                nstate = nt._state
-                                ncbs = nt.callbacks
-                            except AttributeError:
-                                raise SimulationError(
-                                    f"process {proc.name!r} yielded "
-                                    f"{nt!r}, expected an Event"
-                                ) from None
-                            if nstate == PROCESSED:
-                                proc._resume_processed(nt)
-                            elif nt._proc is None and not ncbs:
-                                if type(nt) is not timeout_cls:
-                                    nt._defused = True
-                                nt._proc = proc
-                                proc._target = nt
-                            else:
-                                nt._defused = True
-                                ncbs.append(proc._resume_cb)
-                                proc._target = nt
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
-                    # No failure check: fast-slot registration defuses
-                    # every failable event class up front.
-                else:
-                    event._state = PROCESSED
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
-                    if not event._ok and not event._defused:
-                        # Nobody handled the failure: surface it.
-                        raise event._value
-                cls = type(event)
-                if cls is timeout_cls:
-                    if (len(pool) < pool_cap
-                            and getrefcount(event) == 2):  # local + arg only
-                        pool.append(event)
-                elif cls is event_cls:
-                    if (len(epool) < pool_cap
-                            and getrefcount(event) == 2):
-                        event._value = None
-                        event._state = 0
-                        event._ok = True
-                        event._defused = False
-                        epool.append(event)
-                elif cls is presume_cls:
-                    if (len(ppool) < pool_cap
-                            and getrefcount(event) == 2):
-                        event._value = None
-                        event._state = 0
-                        event._ok = True
-                        event._defused = False
-                        ppool.append(event)
+        if self.kernel_profiler is not None or self.journal is not None:
+            self._run_instrumented(deadline, bounded, stopped)
         else:
+            # Per-step lookups hoisted out of the loop.  cur/heap are the
+            # CalendarQueue's storage lists; the queue only ever mutates them
+            # in place, so the local bindings stay valid across mode switches.
+            q = self._queue
+            cur = q._cur
+            heap = q._heap
+            nowq = q._nowq
+            pop = heappop
+            pool = self._timeout_pool
+            epool = self._event_pool
+            ppool = self._presume_pool
+            pool_cap = _TIMEOUT_POOL_CAP
+            getrefcount = sys.getrefcount
+            PENDING = _PENDING
+            PROCESSED = _PROCESSED
+            timeout_cls = Timeout
+            event_cls = Event
+            presume_cls = _ProcessResume
+
+            # One loop body serves all three stop conditions; the per-event
+            # cost of the rare ones is a float comparison before dispatch
+            # (``bounded`` is read only once a head reaches the deadline) and
+            # one list truthiness check after an event's callbacks ran.  The
+            # stop sentinel is a callback, so only events with callbacks can
+            # fill ``stopped``, and the stop event itself is never recycled
+            # (run() holds it), so breaking before the recycle block is safe.
+            # Dispatch: the fast-slot waiter (``_proc``) is resumed *inline*,
+            # saving the Process._resume trampoline frame — the inline block
+            # mirrors Process._resume, keep the two in lockstep — then
+            # callbacks run, then the dead event is recycled if unreferenced.
+            # Events are unpacked straight out of the bucket/heap and the slot
+            # cleared (no entry local survives dispatch): a live entry tuple
+            # would hold a hidden reference and silently defeat every
+            # refcount-gated freelist.  The dequeue head picks min(now-lane
+            # head, bucket/heap head) with at most one tuple comparison; when
+            # only the now lane is occupied (signalling steady state) pops are
+            # straight list indexing with zero comparisons.  Future buckets
+            # must be paged in before the now lane may be served alone — a
+            # +inf far entry can rank before a +inf now-lane entry by seq (see
+            # CalendarQueue._pop_entry).
             while True:
-                # SimPy semantics: the deadline is exclusive — events
-                # scheduled exactly at `until` are left unprocessed.
-                # Peek-commit per lane: the winning head is checked
+                # Peek-commit per list lane: the winning head is checked
                 # against the deadline before it is consumed.
                 nptr = q._nptr
                 ptr = q._ptr
                 if ptr < len(cur):
                     if nptr < len(nowq) and nowq[nptr] < cur[ptr]:
-                        entry = nowq[nptr]
-                        if entry[0] >= deadline:
-                            self._now = deadline
-                            return None
+                        when, _prio, _seq, event = nowq[nptr]
+                        if when >= deadline and bounded:
+                            break
                         nowq[nptr] = None
                         q._nptr = nptr + 1
                     else:
-                        entry = cur[ptr]
-                        if entry[0] >= deadline:
-                            self._now = deadline
-                            return None
+                        when, _prio, _seq, event = cur[ptr]
+                        if when >= deadline and bounded:
+                            break
                         cur[ptr] = None
                         q._ptr = ptr + 1
                 elif heap:
                     if nptr < len(nowq) and nowq[nptr] < heap[0]:
-                        entry = nowq[nptr]
-                        if entry[0] >= deadline:
-                            self._now = deadline
-                            return None
+                        when, _prio, _seq, event = nowq[nptr]
+                        if when >= deadline and bounded:
+                            break
                         nowq[nptr] = None
                         q._nptr = nptr + 1
                     else:
-                        entry = heap[0]
-                        if entry[0] >= deadline:
-                            self._now = deadline
-                            return None
-                        pop(heap)
+                        # Pop first: the heap is the hot lane of every real
+                        # cell, and the deadline is crossed once per run.
+                        when, _prio, _seq, event = pop(heap)
+                        if when >= deadline and bounded:
+                            heappush(heap, (when, _prio, _seq, event))
+                            break
                 elif q._n_future:
                     q._advance()
                     continue
                 elif nptr < len(nowq):
-                    entry = nowq[nptr]
-                    if entry[0] >= deadline:
-                        self._now = deadline
-                        return None
+                    when, _prio, _seq, event = nowq[nptr]
+                    if when >= deadline and bounded:
+                        break
                     nowq[nptr] = None
                     q._nptr = nptr + 1
                 else:
                     break
-                when, _prio, _seq, event = entry
-                entry = None    # drop the tuple ref: freelists check refcounts
                 self._now = when
                 proc = event._proc
                 if proc is not None:
@@ -965,6 +871,8 @@ class Environment:
                         event.callbacks = []
                         for cb in callbacks:
                             cb(event)
+                        if stopped:
+                            break
                     # No failure check: fast-slot registration defuses
                     # every failable event class up front.
                 else:
@@ -974,6 +882,9 @@ class Environment:
                         event.callbacks = []
                         for cb in callbacks:
                             cb(event)
+                        if stopped:
+                            # A failed stop event is raised by run().
+                            break
                     if not event._ok and not event._defused:
                         # Nobody handled the failure: surface it.
                         raise event._value
@@ -999,177 +910,87 @@ class Environment:
                         event._defused = False
                         ppool.append(event)
 
-        if deadline != float("inf") and self._now < deadline:
+        if stop_event is not None:
+            return _stop_value(stop_event)
+        if bounded:
+            # Nothing at or past the deadline was dispatched, so the clock
+            # only moves forward here.
             self._now = deadline
         return None
 
-    def _run_profiled(self, until: Optional[float | Event] = None) -> Any:
-        """run() with kernel self-profiling: generic event dispatch plus
-        per-class counters and coarse wall-clock sampling.
+    def _run_instrumented(self, deadline: float, bounded: bool,
+                          stopped: list) -> None:
+        """:meth:`run`'s dispatch loop while the kernel profiler, the
+        journal, or both are installed: :meth:`step`'s generic dispatch
+        plus the profiler's counters and sampled wall-clock, and one
+        journal record per executed event with a digest checkpoint
+        whenever the popped event crosses the next boundary.
 
-        Semantically in lockstep with :meth:`run`'s inlined loops — same
-        queue order, same ``_run_callbacks`` behaviour (the inlined
-        fast-slot path mirrors it by construction), same freelist recycle
-        rule — so profiled runs follow the identical trajectory, just
-        slower.
+        Same queue order, same ``_run_callbacks`` behaviour (the inlined
+        fast-slot path mirrors it by construction) and same freelist
+        recycle rule as :meth:`run`'s inlined loop, and both planes are
+        write-only side state, so instrumented runs follow the identical
+        trajectory, just slower.  The checkpoint fires *before* the
+        boundary-crossing event dispatches, so the digest captures layer
+        state as of the boundary itself.
         """
         prof = self.kernel_profiler
-        stop_event: Optional[Event] = None
-        deadline = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            deadline = float(until)
-            if deadline < self._now:
-                raise ValueError(
-                    f"until {deadline} is in the past (now={self._now})")
-
+        jr = self.journal
         q = self._queue
-
-        stopped: list = []
-        if stop_event is not None and stop_event._state != _PROCESSED:
-            stop_event.callbacks.append(stopped.append)
-
-        by_class = prof.events_by_class
-        resumes = prof.resumes_by_process
-        sampled_ns = prof.sampled_wall_ns_by_class
-        sampled_n = prof.sampled_events_by_class
-        sample_every = prof.sample_every
-        jr = self.journal  # profiled runs can journal too
+        if prof is not None:
+            by_class = prof.events_by_class
+            resumes = prof.resumes_by_process
+            sampled_ns = prof.sampled_wall_ns_by_class
+            sampled_n = prof.sampled_events_by_class
+            sample_every = prof.sample_every
         wall_t0 = perf_counter_ns()
         try:
             while len(q):
-                if stopped and stop_event is not None:
+                if q.peek_time() >= deadline and bounded:
                     break
-                if q.peek_time() >= deadline:
-                    self._now = deadline
-                    return None
                 when, _prio, _seq, event = q._pop_entry()
                 self._now = when
-                prof.heap_pops += 1
                 cls = type(event).__name__
-                by_class[cls] = by_class.get(cls, 0) + 1
-                jname = ""
-                proc = event._proc
-                if proc is not None:
-                    jname = name = proc.name
-                    resumes[name] = resumes.get(name, 0) + 1
-                    for cb in event.callbacks:
-                        # Further process waiters queue behind the fast
-                        # slot; count their resumes too.
-                        owner = getattr(cb, "__self__", None)
-                        if type(owner) is Process:
-                            name = owner.name
-                            resumes[name] = resumes.get(name, 0) + 1
-                else:
-                    for cb in event.callbacks:
-                        owner = getattr(cb, "__self__", None)
-                        if type(owner) is Process:
-                            name = owner.name
-                            if not jname:
-                                jname = name
-                            resumes[name] = resumes.get(name, 0) + 1
+                names = _resumed_names(event)
                 if jr is not None:
                     if when >= jr._next_ckpt:
                         jr._checkpoint(when)
-                    jr.record_event(when, jname, cls)
-                if prof.heap_pops % sample_every == 0:
-                    t0 = perf_counter_ns()
+                    jr.record_event(when, names[0] if names else "", cls)
+                if prof is None:
                     event._run_callbacks()
-                    dt = perf_counter_ns() - t0
-                    sampled_ns[cls] = sampled_ns.get(cls, 0) + dt
-                    sampled_n[cls] = sampled_n.get(cls, 0) + 1
+                    self._recycle(event)
                 else:
-                    event._run_callbacks()
-                npooled = (len(self._timeout_pool) + len(self._event_pool)
-                           + len(self._presume_pool))
-                self._recycle(event)
-                if (len(self._timeout_pool) + len(self._event_pool)
-                        + len(self._presume_pool)) > npooled:
-                    prof.pool_recycled += 1
+                    prof.heap_pops += 1
+                    by_class[cls] = by_class.get(cls, 0) + 1
+                    for name in names:
+                        resumes[name] = resumes.get(name, 0) + 1
+                    if prof.heap_pops % sample_every == 0:
+                        t0 = perf_counter_ns()
+                        event._run_callbacks()
+                        dt = perf_counter_ns() - t0
+                        sampled_ns[cls] = sampled_ns.get(cls, 0) + dt
+                        sampled_n[cls] = sampled_n.get(cls, 0) + 1
+                    else:
+                        event._run_callbacks()
+                    npooled = (len(self._timeout_pool)
+                               + len(self._event_pool)
+                               + len(self._presume_pool))
+                    self._recycle(event)
+                    if (len(self._timeout_pool) + len(self._event_pool)
+                            + len(self._presume_pool)) > npooled:
+                        prof.pool_recycled += 1
+                if stopped:
+                    break
         finally:
-            prof.wall_ns += perf_counter_ns() - wall_t0
-
-        if stop_event is not None:
-            if stop_event._state != _PROCESSED:
-                raise SimulationError("run(until=event): event never fired")
-            if not stop_event._ok:
-                raise stop_event._value
-            return stop_event._value
-        if deadline != float("inf") and self._now < deadline:
-            self._now = deadline
-        return None
-
-    def _run_journaled(self, until: Optional[float | Event] = None) -> Any:
-        """run() with the flight recorder: generic event dispatch plus one
-        journal record per executed event and a digest checkpoint whenever
-        the popped event crosses the next boundary.
-
-        Semantically in lockstep with :meth:`run`'s inlined loops (same
-        queue order, ``_run_callbacks`` dispatch, same freelist recycle
-        rule); the journal is write-only side state, so journaled runs
-        follow the identical trajectory.  The checkpoint fires *before*
-        the boundary-crossing event dispatches, so the digest captures
-        layer state as of the boundary itself.
-        """
-        jr = self.journal
-        stop_event: Optional[Event] = None
-        deadline = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            deadline = float(until)
-            if deadline < self._now:
-                raise ValueError(
-                    f"until {deadline} is in the past (now={self._now})")
-
-        q = self._queue
-        process_cls = Process
-        record = jr.record_event
-
-        stopped: list = []
-        if stop_event is not None and stop_event._state != _PROCESSED:
-            stop_event.callbacks.append(stopped.append)
-
-        while len(q):
-            if stopped and stop_event is not None:
-                break
-            if q.peek_time() >= deadline:
-                self._now = deadline
-                return None
-            when, _prio, _seq, event = q._pop_entry()
-            self._now = when
-            if when >= jr._next_ckpt:
-                jr._checkpoint(when)
-            proc = event._proc
-            if proc is not None:
-                jname = proc.name
-            else:
-                jname = ""
-                for cb in event.callbacks:
-                    owner = getattr(cb, "__self__", None)
-                    if type(owner) is process_cls:
-                        jname = owner.name
-                        break
-            record(when, jname, type(event).__name__)
-            event._run_callbacks()
-            self._recycle(event)
-
-        if stop_event is not None:
-            if stop_event._state != _PROCESSED:
-                raise SimulationError("run(until=event): event never fired")
-            if not stop_event._ok:
-                raise stop_event._value
-            return stop_event._value
-        if deadline != float("inf") and self._now < deadline:
-            self._now = deadline
-        return None
+            if prof is not None:
+                prof.wall_ns += perf_counter_ns() - wall_t0
 
 
 class KernelProfile:
     """Wall-clock self-profile of one Environment's event loop.
 
-    Collected by :meth:`Environment._run_profiled` while installed via
+    Collected by :meth:`Environment._run_instrumented`, the one loop that
+    serves the profiler and the journal, while installed via
     :func:`install_kernel_profiler`.  All counters are exact except the
     wall-ns-per-class figures, which sample one event in ``sample_every``
     (timing every dispatch would perturb the very loop being measured);

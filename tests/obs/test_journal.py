@@ -19,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,25 @@ def test_histogram_and_checkpoint_records():
     assert len(digests) == 1
     assert digests[0]["layer"] == "toy"
     assert len(digests[0]["digest"]) == 16
+
+
+def test_checkpoint_at_infinity_is_taken_once():
+    """An event at t=+inf crosses every remaining boundary: one digest
+    labeled +inf, none for later +inf events, and no endless walk over
+    the boundaries."""
+    j = Journal(period=1.0)
+    j.add_digest_source("toy", lambda: {"n": 1})
+    j._checkpoint(2.5)
+    inf = float("inf")
+    # A watchdog thread, so a walk that never ends fails instead of hanging.
+    walker = threading.Thread(
+        target=lambda: (j._checkpoint(inf), j._checkpoint(inf)), daemon=True)
+    walker.start()
+    walker.join(timeout=10.0)
+    assert not walker.is_alive(), "checkpoint at +inf did not return"
+    digests = [r["t"] for r in j.tail() if r["kind"] == "digest"]
+    assert digests == [2.0, inf]
+    assert j.checkpoint_count == 2
 
 
 # -- recording a real cell ----------------------------------------------------

@@ -2,7 +2,26 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.obs import Journal
+from repro.sim import (
+    Environment,
+    Interrupt,
+    SimulationError,
+    install_kernel_profiler,
+)
+
+INF = float("inf")
+# run()'s inlined loop, and the instrumented loop in each configuration.
+LOOPS = ("plain", "profiled", "journaled", "profiled+journaled")
+
+
+def _env(loop):
+    env = Environment()
+    if "profiled" in loop:
+        install_kernel_profiler(env)
+    if "journaled" in loop:
+        Journal(period=1.0).install(env)
+    return env
 
 
 def test_anyof_failing_child_propagates():
@@ -218,3 +237,95 @@ def test_interrupt_dead_process_raises():
     assert not p.is_alive
     with pytest.raises(SimulationError):
         p.interrupt("too late")
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_run_until_processed_event_returns_at_once(loop):
+    """Joining an event that already fired must not dispatch anything:
+    with a live ticker (or any perpetual daemon) the run would otherwise
+    drain the queue, or never return."""
+    env = _env(loop)
+
+    def ticker():
+        for _ in range(1000):
+            yield env.timeout(1.0)
+
+    def short():
+        yield env.timeout(0.5)
+        return "done"
+
+    def crash():
+        yield env.timeout(0.5)
+        raise KeyError("boom")
+
+    tick = env.process(ticker())
+    ok = env.process(short())
+    bad = env.process(crash())
+    assert env.run(until=ok) == "done"
+    with pytest.raises(KeyError):
+        env.run(until=bad)
+    assert env.now == 0.5
+
+    assert env.run(until=ok) == "done"
+    with pytest.raises(KeyError):
+        env.run(until=bad)
+    assert env.now == 0.5
+    assert tick.is_alive
+    assert len(env._queue) == 1 and env.peek() == 1.0
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_run_until_event_that_a_process_already_joined(loop):
+    """The stop event's first waiter holds its fast slot (it joined
+    before this run() call, as in a multi-phase cell), so the stop
+    sentinel rides in the callbacks list behind the inline resume."""
+    env = _env(loop)
+    log = []
+
+    def ticker():
+        for _ in range(1000):
+            yield env.timeout(1.0)
+
+    def worker():
+        yield env.timeout(1.5)
+        return "w"
+
+    def joiner(p):
+        log.append((yield p))
+
+    tick = env.process(ticker())
+    p = env.process(worker())
+    env.process(joiner(p))
+    env.run(until=1.0)
+    assert p._proc is not None
+    assert env.run(until=p) == "w"
+    assert env.now == 1.5 and log == ["w"]
+    # Left pending: the joiner's own termination and the next tick.
+    assert tick.is_alive and len(env._queue) == 2 and env.peek() == 1.5
+
+
+@pytest.mark.parametrize("loop", LOOPS + ("stepped",))
+@pytest.mark.parametrize("until", ("drain", "inf", "process"))
+def test_events_at_infinity_are_dispatched(loop, until):
+    """A drain, an explicit ``until=inf`` and a join on a process that
+    wakes at +inf all dispatch events scheduled at t=+inf, on every path,
+    as step() does."""
+    env = _env("plain" if loop == "stepped" else loop)
+    woke = []
+
+    def sleeper():
+        yield env.timeout(INF)
+        woke.append(env.now)
+        return "late"
+
+    p = env.process(sleeper())
+    if loop == "stepped":
+        while len(env._queue):
+            env.step()
+    else:
+        result = env.run(until={"drain": None, "inf": INF,
+                                "process": p}[until])
+        assert result == ("late" if until == "process" else None)
+    assert woke == [INF]
+    assert len(env._queue) == 0
+    assert p.value == "late"

@@ -1,9 +1,10 @@
 """DES kernel self-profiler: counters, install/uninstall, equivalence.
 
-The profiled run loop (``Environment._run_profiled``) is a separate
-dispatch path from the inlined fast loops, so the tests pin both the
-counter semantics and — critically — that profiling never changes *what*
-the simulation computes, only observes how it runs.
+Profiled runs dispatch through the kernel's one instrumented loop
+(``Environment._run_instrumented``, shared with the journal), a separate
+path from the inlined loop in ``Environment.run``, so the tests pin both
+the counter semantics and — critically — that profiling never changes
+*what* the simulation computes, only observes how it runs.
 """
 
 import pytest

@@ -1,6 +1,6 @@
 """Audit: every hot kernel class is fully ``__slots__``-ed.
 
-Event recycling and the inlined dispatch loops bank on instances having
+Event recycling and the inlined dispatch loop bank on instances having
 no ``__dict__`` — a single slotless class in the hierarchy silently
 re-grows per-instance dicts, costs ~56 bytes and a dict allocation per
 event, and defeats the freelists' refcount checks.  This audit fails the
