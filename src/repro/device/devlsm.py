@@ -23,6 +23,7 @@ PCIe — so they never contend with the host link.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Generator, Iterable, Optional
 
 from ..faults.registry import fault_point, touch
@@ -61,14 +62,15 @@ class DevLsmConfig:
 class Run:
     """One sorted run flushed into the KV region."""
 
-    entries: list  # sorted by (key, -seq)
+    entries: list  # sorted by key, one entry per key
     smallest: bytes
     largest: bytes
     nbytes: int
 
 
-def _sort_key(e: Entry):
-    return (e[0], -e[1])
+# Both sorts below order dict values, whose keys are unique, so the key
+# alone gives the (key, -seq) order.
+_sort_key = itemgetter(0)
 
 
 class DevIterator:

@@ -17,15 +17,23 @@ resurrect).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, islice
+from operator import itemgetter, ne
+from typing import NamedTuple, Optional, Sequence
 
-from ..types import KIND_DELETE, Entry, entry_size
-from .iterator import merging_iterator
+import numpy as np
+
+from ..types import KIND_DELETE, entry_size
 from .options import LsmOptions
-from .version import FileMetadata, Version
+from .sstable import chunk_starts
+from .version import Version
 
-__all__ = ["CompactionJob", "CompactionPicker", "merge_for_compaction",
-           "split_into_files"]
+__all__ = ["CompactionJob", "CompactionPicker", "MergedRun",
+           "merge_for_compaction", "split_into_files"]
+
+_entry_key = itemgetter(0)
+_entry_seq = itemgetter(1)
+_entry_kind = itemgetter(2)
 
 
 @dataclass
@@ -109,40 +117,64 @@ class CompactionPicker:
                              inputs_low=list(l0), inputs_high=highs)
 
 
-def merge_for_compaction(job: CompactionJob, num_levels: int) -> list:
-    """Merged, deduplicated output entries for a compaction job.
+class MergedRun(NamedTuple):
+    """A compaction's merged output: entries in key order, one per key,
+    with their sizes and key hash pairs carried from the input tables."""
 
-    Sources are ordered newest-first purely for documentation; correctness
-    comes from sequence numbers in the merge.  Tombstones survive unless
-    the output level is the bottommost.
+    entries: list
+    sizes: np.ndarray    # int64, entry_size of each entry
+    hashes: np.ndarray   # (n, 2) uint64, key_hashes of each key
+
+
+def merge_for_compaction(job: CompactionJob, num_levels: int) -> MergedRun:
+    """Merged, deduplicated output for a compaction job.
+
+    The inputs are concatenated in job order and sorted by ``(key, -seq)``
+    with stable C-level sorts, so entries with equal ``(key, seq)`` keep
+    input order exactly as :func:`~repro.lsm.iterator.k_way_merge` orders
+    them; the first entry of each key survives (newest wins).  Tombstones
+    survive unless the output level is the bottommost.  The survivors'
+    sizes and hashes are gathered from the inputs' arrays, not recomputed.
     """
-    sources = [f.table.entries for f in job.all_inputs]
-    bottommost = job.output_level == num_levels - 1
-    merged = merging_iterator(sources, include_tombstones=True)
-    if bottommost:
-        return [e for e in merged if e[2] != KIND_DELETE]
-    return list(merged)
+    tables = [f.table for f in job.all_inputs]
+    entries = list(chain.from_iterable(t.entries for t in tables))
+    n = len(entries)
+    keys = list(map(_entry_key, entries))
+    # Each input is a sorted run: the key sort merges runs.
+    order = sorted(range(n), key=keys.__getitem__)
+    sorted_keys = list(map(keys.__getitem__, order))
+    first = np.ones(n, dtype=bool)    # first entry of its key
+    first[1:] = np.fromiter(map(ne, islice(sorted_keys, 1, None), sorted_keys),
+                            dtype=bool, count=n - 1)
+    order = np.array(order, dtype=np.intp)
+    if not first.all():
+        # Within a key, newest first; lexsort is stable, so equal
+        # (key, seq) entries keep input order.
+        seqs = np.fromiter(map(_entry_seq, entries), dtype=np.int64, count=n)
+        order = order[np.lexsort((-seqs[order], np.cumsum(first)))]
+    keep = order[first]
+    if job.output_level == num_levels - 1:
+        kinds = np.fromiter(map(_entry_kind, entries), dtype=np.int8, count=n)
+        keep = keep[kinds[keep] != KIND_DELETE]
+    return MergedRun(
+        list(map(entries.__getitem__, keep.tolist())),
+        np.concatenate([t.sizes for t in tables])[keep],
+        np.concatenate([t.hashes for t in tables])[keep])
 
 
 def split_into_files(entries: list, target_bytes: int,
-                     sizes: Optional[list] = None) -> list:
+                     sizes: Optional[Sequence[int]] = None) -> list:
     """Partition merged output into SST-sized chunks.
 
     ``sizes`` are the entries' :func:`entry_size` values when the caller
-    already has them (the compaction path sizes its output once)."""
+    already has them (a compaction carries them from its inputs)."""
     if target_bytes <= 0:
         raise ValueError("target_bytes must be positive")
     if sizes is None:
-        sizes = map(entry_size, entries)
-    out: list[list] = []
-    cur: list = []
-    cur_bytes = 0
-    for e, sz in zip(entries, sizes, strict=True):
-        if cur and cur_bytes + sz > target_bytes:
-            out.append(cur)
-            cur, cur_bytes = [], 0
-        cur.append(e)
-        cur_bytes += sz
-    if cur:
-        out.append(cur)
-    return out
+        sizes = list(map(entry_size, entries))
+    if len(sizes) != len(entries):
+        raise ValueError("one size per entry")
+    cum = [0]
+    cum += np.cumsum(sizes, dtype=np.int64).tolist()
+    starts = chunk_starts(cum, target_bytes)
+    return [entries[s:e] for s, e in zip(starts, starts[1:] + [len(entries)])]

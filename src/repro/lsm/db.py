@@ -23,6 +23,7 @@ from ..faults.registry import fault_point, touch
 from ..resil.errors import DeviceError
 from ..sim import Environment, Event, Interrupt, Store
 from ..types import KIND_DELETE, KIND_PUT, entry_size, make_entry
+from .bloom import _hash128
 from .compaction import CompactionJob, CompactionPicker, merge_for_compaction, split_into_files
 from .fs import FileSystem, FsError, PageCache
 from .iterator import merging_iterator
@@ -263,7 +264,8 @@ class DbImpl:
         if self.background_error is not None:
             raise self.background_error
         opt = self.options
-        nbytes = sum(entry_size(e) for e in entries)
+        sizes = list(map(entry_size, entries))   # sized once, up to flush
+        nbytes = sum(sizes)
         tr = self.env.tracer
         _sp = (tr.begin("write", "write",
                         args={"entries": len(entries), "bytes": nbytes})
@@ -283,8 +285,8 @@ class DbImpl:
                 # into read-only state.
                 self.set_background_error(exc)
                 raise
-        for e in entries:
-            self.mem.add(e)
+        for e, size in zip(entries, sizes):
+            self.mem.add(e, size)
         if self.env.faults is not None or self.env.journal is not None:
             touch(self.env, "db.write.applied")
         self.stats.user_writes += len(entries)
@@ -399,7 +401,8 @@ class DbImpl:
                                              tag=f"{self.name}.flush")
             number = self.versions.new_file_number()
             table = SSTable(number, entries, block_size=opt.block_size,
-                            bloom_bits_per_key=opt.bloom_bits_per_key)
+                            bloom_bits_per_key=opt.bloom_bits_per_key,
+                            sizes=mem.entry_sizes())
             f = self.fs.create(self._sst_name(number))
             self._inflight_flush_file = f
             remaining = table.file_bytes
@@ -507,12 +510,12 @@ class DbImpl:
         if self.env.faults is not None or self.env.journal is not None:
             yield from fault_point(self.env, "db.compact.start")
         merged = merge_for_compaction(job, opt.num_levels)
-        sizes = [entry_size(e) for e in merged]   # sized once, reused below
-        output_groups = split_into_files(merged, opt.target_file_size_base,
-                                         sizes)
+        output_groups = split_into_files(merged.entries,
+                                         opt.target_file_size_base,
+                                         merged.sizes)
 
         input_bytes = job.input_bytes
-        output_bytes = sum(sizes)
+        output_bytes = int(merged.sizes.sum())
         self.stats.compaction_bytes_read += input_bytes
         self.stats.compaction_bytes_written += output_bytes
         tel = self.env.telemetry
@@ -555,10 +558,12 @@ class DbImpl:
         pos = 0
         for group in output_groups:
             number = self.versions.new_file_number()
+            end = pos + len(group)
             table = SSTable(number, group, block_size=opt.block_size,
                             bloom_bits_per_key=opt.bloom_bits_per_key,
-                            sizes=sizes[pos:pos + len(group)])
-            pos += len(group)
+                            sizes=merged.sizes[pos:end],
+                            hashes=merged.hashes[pos:end])
+            pos = end
             meta = FileMetadata(number=number, level=job.output_level,
                                 table=table)
             added.append(meta)
@@ -622,8 +627,11 @@ class DbImpl:
         return entry
 
     def _get_from_ssts(self, key: bytes) -> Generator:
+        hashes = None   # hashed once per lookup, for every file's bloom
         for meta in self.versions.current.files_for_key(key):
-            probe = meta.table.probe(key)
+            if hashes is None:
+                hashes = _hash128(key)
+            probe = meta.table.probe(key, hashes)
             if probe.bytes_read:
                 try:
                     f = self.fs.open(self._sst_name(meta.number))

@@ -19,7 +19,7 @@ from typing import Generator, Optional
 from ..device.block_dev import BlockDevice
 from ..faults.registry import fault_point
 
-__all__ = ["FileSystem", "SimFile", "FsError", "PageCache"]
+__all__ = ["FileSystem", "FreeList", "SimFile", "FsError", "PageCache"]
 
 
 class PageCache:
@@ -89,6 +89,65 @@ class PageCache:
         return self._bytes
 
 
+class FreeList:
+    """Free extents in first-fit order, searched in sublinear time.
+
+    :meth:`take` returns exactly what a linear first-fit scan of the list
+    would (the offsets chosen set the FTL's LPNs, so they must not change),
+    but skips whole blocks of :data:`BLOCK` slots whose largest extent is
+    too small.  A used-up extent leaves an empty slot, so slots never
+    shift; empty slots are squeezed out once they are the majority.
+    """
+
+    BLOCK = 64
+
+    def __init__(self) -> None:
+        self._slots: list[tuple[int, int]] = []   # (offset, nbytes)
+        self._block_max: list[int] = []           # largest nbytes per block
+        self._empty = 0
+
+    def extents(self) -> list:
+        """The free extents, in first-fit order."""
+        return [x for x in self._slots if x[1]]
+
+    def put(self, offset: int, nbytes: int) -> None:
+        """Return an extent; it goes last in first-fit order."""
+        slots, block_max = self._slots, self._block_max
+        if len(slots) % self.BLOCK:
+            block_max[-1] = max(block_max[-1], nbytes)
+        else:
+            block_max.append(nbytes)
+        slots.append((offset, nbytes))
+
+    def take(self, nbytes: int) -> Optional[int]:
+        """Offset of ``nbytes`` (> 0) cut from the first extent that holds
+        them, or None if none does."""
+        slots, block_max, width = self._slots, self._block_max, self.BLOCK
+        for b, biggest in enumerate(block_max):
+            if biggest < nbytes:
+                continue
+            lo = b * width
+            hi = lo + width
+            for i in range(lo, min(hi, len(slots))):
+                off, n = slots[i]
+                if n >= nbytes:
+                    slots[i] = (off + nbytes, n - nbytes)
+                    if n == biggest:
+                        block_max[b] = max(x[1] for x in slots[lo:hi])
+                    if n == nbytes:
+                        self._empty += 1
+                        if self._empty * 2 > len(slots):
+                            self._squeeze()
+                    return off
+        return None
+
+    def _squeeze(self) -> None:
+        slots = self.extents()
+        self._slots, self._block_max, self._empty = [], [], 0
+        for off, n in slots:
+            self.put(off, n)
+
+
 class FsError(RuntimeError):
     """File-layer misuse: duplicate create, missing file, out of space."""
 
@@ -111,7 +170,7 @@ class FileSystem:
         self.device = device
         self._files: dict[str, SimFile] = {}
         self._cursor = reserve          # bytes [0, reserve) left for superblock
-        self._free: list[tuple[int, int]] = []  # (offset, nbytes), first-fit
+        self._free = FreeList()
         self.capacity = device.capacity_bytes
         self.page_cache = page_cache
 
@@ -138,7 +197,7 @@ class FileSystem:
             raise FsError(f"no such file: {name}")
         for off, n in f.extents:
             self.device.trim(off, n)
-            self._free.append((off, n))
+            self._free.put(off, n)
         if self.page_cache is not None:
             self.page_cache.evict(name)
         f.closed = True
@@ -152,13 +211,9 @@ class FileSystem:
 
     # -- allocation ----------------------------------------------------------
     def _allocate(self, nbytes: int) -> tuple[int, int]:
-        for i, (off, n) in enumerate(self._free):
-            if n >= nbytes:
-                if n == nbytes:
-                    self._free.pop(i)
-                else:
-                    self._free[i] = (off + nbytes, n - nbytes)
-                return off, nbytes
+        off = self._free.take(nbytes)
+        if off is not None:
+            return off, nbytes
         if self._cursor + nbytes > self.capacity:
             raise FsError(
                 f"device full: need {nbytes}, cursor {self._cursor}, "

@@ -14,23 +14,31 @@ Two interchangeable implementations:
 
 Both store internal entries ``(key, seq, kind, value)`` and implement
 newest-wins per user key (an insert with a higher seq shadows the old one;
-the shadowed entry's bytes are released).
+the shadowed entry's bytes are released).  Each entry's
+:func:`~repro.types.entry_size` is taken once, on insert (or passed in by
+a writer that already has it), and handed to the flush by
+:meth:`MemTable.entry_sizes`.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from ..types import Entry, entry_size
 
 __all__ = ["MemTable", "DictMemTable", "SkipListMemTable"]
 
+_entry_key = itemgetter(0)
+
 
 class MemTable:
     """Interface: approximate size tracking + newest-wins point ops."""
 
-    def add(self, entry: Entry) -> None:
+    def add(self, entry: Entry, size: Optional[int] = None) -> None:
+        """Insert ``entry``; ``size`` is its :func:`entry_size`, if the
+        caller has it."""
         raise NotImplementedError
 
     def get(self, key: bytes) -> Optional[Entry]:
@@ -45,6 +53,10 @@ class MemTable:
 
     def entries(self) -> list:
         """All live entries sorted by key ascending."""
+        raise NotImplementedError
+
+    def entry_sizes(self) -> list:
+        """The :func:`entry_size` of each of :meth:`entries`, in order."""
         raise NotImplementedError
 
     def iter_from(self, key: bytes) -> Iterator[Entry]:
@@ -63,18 +75,22 @@ class DictMemTable(MemTable):
 
     def __init__(self) -> None:
         self._map: dict[bytes, Entry] = {}
+        self._sizes: dict[bytes, int] = {}
         self._bytes = 0
         self._sorted: Optional[list] = None
 
-    def add(self, entry: Entry) -> None:
+    def add(self, entry: Entry, size: Optional[int] = None) -> None:
         key = entry[0]
         old = self._map.get(key)
         if old is not None:
             if entry[1] < old[1]:
                 return  # stale write (rollback re-inserts); keep newest
-            self._bytes -= entry_size(old)
+            self._bytes -= self._sizes[key]
+        if size is None:
+            size = entry_size(entry)
         self._map[key] = entry
-        self._bytes += entry_size(entry)
+        self._sizes[key] = size
+        self._bytes += size
         self._sorted = None
 
     def get(self, key: bytes) -> Optional[Entry]:
@@ -89,8 +105,12 @@ class DictMemTable(MemTable):
 
     def entries(self) -> list:
         if self._sorted is None:
-            self._sorted = sorted(self._map.values(), key=lambda e: e[0])
+            self._sorted = sorted(self._map.values(), key=_entry_key)
         return self._sorted
+
+    def entry_sizes(self) -> list:
+        sizes = self._sizes
+        return [sizes[e[0]] for e in self.entries()]
 
     def iter_from(self, key: bytes) -> Iterator[Entry]:
         ents = self.entries()
@@ -109,11 +129,13 @@ _P = 0.25
 
 
 class _Node:
-    __slots__ = ("key", "entry", "forward")
+    __slots__ = ("key", "entry", "size", "forward")
 
-    def __init__(self, key: Optional[bytes], entry: Optional[Entry], level: int):
+    def __init__(self, key: Optional[bytes], entry: Optional[Entry],
+                 size: int, level: int):
         self.key = key
         self.entry = entry
+        self.size = size
         self.forward: list[Optional["_Node"]] = [None] * level
 
 
@@ -121,7 +143,7 @@ class SkipListMemTable(MemTable):
     """Probabilistic skiplist memtable (RocksDB's default structure)."""
 
     def __init__(self, seed: int = 0x5EED) -> None:
-        self._head = _Node(None, None, _MAX_LEVEL)
+        self._head = _Node(None, None, 0, _MAX_LEVEL)
         self._level = 1
         self._rng = random.Random(seed)
         self._len = 0
@@ -144,26 +166,30 @@ class SkipListMemTable(MemTable):
             update[i] = node
         return update
 
-    def add(self, entry: Entry) -> None:
+    def add(self, entry: Entry, size: Optional[int] = None) -> None:
         key = entry[0]
         update = self._find_prev(key)
         candidate = update[0].forward[0]
         if candidate is not None and candidate.key == key:
-            old = candidate.entry
-            if entry[1] < old[1]:
+            if entry[1] < candidate.entry[1]:
                 return
-            self._bytes += entry_size(entry) - entry_size(old)
+            if size is None:
+                size = entry_size(entry)
+            self._bytes += size - candidate.size
             candidate.entry = entry
+            candidate.size = size
             return
+        if size is None:
+            size = entry_size(entry)
         lvl = self._random_level()
         if lvl > self._level:
             self._level = lvl
-        node = _Node(key, entry, lvl)
+        node = _Node(key, entry, size, lvl)
         for i in range(lvl):
             node.forward[i] = update[i].forward[i]
             update[i].forward[i] = node
         self._len += 1
-        self._bytes += entry_size(entry)
+        self._bytes += size
 
     def get(self, key: bytes) -> Optional[Entry]:
         node = self._head
@@ -185,12 +211,16 @@ class SkipListMemTable(MemTable):
         return self._bytes
 
     def entries(self) -> list:
-        out = []
+        return [node.entry for node in self._nodes()]
+
+    def entry_sizes(self) -> list:
+        return [node.size for node in self._nodes()]
+
+    def _nodes(self) -> Iterator[_Node]:
         node = self._head.forward[0]
         while node is not None:
-            out.append(node.entry)
+            yield node
             node = node.forward[0]
-        return out
 
     def iter_from(self, key: bytes) -> Iterator[Entry]:
         update = self._find_prev(key)

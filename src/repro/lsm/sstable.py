@@ -12,16 +12,33 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import islice
+from operator import itemgetter, lt
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from ..types import Entry, entry_size
-from .bloom import BloomFilter
+from .bloom import BloomFilter, key_hashes
 from .codec import decode_block, encode_block
 
-__all__ = ["SSTable", "ProbeResult"]
+__all__ = ["SSTable", "ProbeResult", "chunk_starts"]
 
 _entry_key = itemgetter(0)
+
+
+def chunk_starts(cum: Sequence[int], budget: int) -> list:
+    """Where each chunk starts when entries are packed in order, a chunk
+    taking entries while its byte total stays within ``budget`` (and at
+    least one entry).  ``cum`` holds the entries' prefix byte sums, from
+    ``cum[0] == 0`` to the total."""
+    starts = []
+    i, n = 0, len(cum) - 1
+    while i < n:
+        starts.append(i)
+        j = bisect_right(cum, cum[i] + budget, i + 1) - 1
+        i = j if j > i else i + 1
+    return starts
 
 
 @dataclass(frozen=True)
@@ -34,45 +51,49 @@ class ProbeResult:
 
 
 class SSTable:
-    """Immutable sorted table."""
+    """Immutable sorted table.
+
+    Besides the entries it keeps, in compact arrays, each entry's
+    :func:`entry_size` (``sizes``) and key hash pair (``hashes``, see
+    :func:`key_hashes`); compaction carries both into its outputs, so a
+    key is sized and hashed once over its whole life in the tree.
+    """
 
     def __init__(self, file_number: int, entries: Sequence[Entry],
                  block_size: int = 16 * 1024, bloom_bits_per_key: int = 10,
-                 sizes: Optional[Sequence[int]] = None):
-        """``sizes``: the entries' :func:`entry_size`, if the caller has them."""
+                 sizes: Optional[Sequence[int]] = None,
+                 hashes: Optional[np.ndarray] = None):
+        """``sizes``/``hashes``: the entries' :func:`entry_size` and key
+        hash pairs, if the caller has them."""
         if not entries:
             raise ValueError("SSTable cannot be empty")
         self.file_number = file_number
         self.entries = list(entries)
         self.block_size = block_size
-        self.smallest = self.entries[0][0]
-        self.largest = self.entries[-1][0]
-
-        # One pass: order check, keys for the bloom, and the partition
-        # into blocks by byte budget.
+        keys = list(map(_entry_key, self.entries))
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            raise ValueError("entries must be sorted and key-unique")
+        self.smallest = keys[0]
+        self.largest = keys[-1]
         if sizes is None:
-            sizes = map(entry_size, self.entries)
-        keys: list[bytes] = []
-        starts = self._block_starts = []   # entry index where a block begins
-        first_keys = self._block_first_keys = []
-        block_bytes = self._block_bytes = []
-        cur = 0
-        for i, (e, sz) in enumerate(zip(self.entries, sizes, strict=True)):
-            key = e[0]
-            if keys and keys[-1] >= key:
-                raise ValueError("entries must be sorted and key-unique")
-            keys.append(key)
-            if not starts or cur + sz > block_size and cur > 0:
-                starts.append(i)
-                first_keys.append(key)
-                block_bytes.append(sz)
-                cur = sz
-            else:
-                block_bytes[-1] += sz
-                cur += sz
-        self.data_bytes = sum(self._block_bytes)
-        self.bloom = BloomFilter(len(self.entries), bloom_bits_per_key)
-        self.bloom.add_all(keys)
+            sizes = list(map(entry_size, self.entries))
+        # Copies, so a table never pins the buffer its arrays came from.
+        self.sizes = np.array(sizes, dtype=np.int64)
+        self.hashes = (key_hashes(keys) if hashes is None
+                       else np.array(hashes, dtype=np.uint64))
+        if len(self.sizes) != len(keys) or len(self.hashes) != len(keys):
+            raise ValueError("one size and one hash pair per entry")
+
+        # Partition into blocks by byte budget.
+        cum = [0]
+        cum += np.cumsum(self.sizes).tolist()
+        starts = self._block_starts = chunk_starts(cum, block_size)
+        self._block_first_keys = [keys[s] for s in starts]
+        self._block_bytes = [cum[e] - cum[s] for s, e in
+                             zip(starts, starts[1:] + [len(keys)])]
+        self.data_bytes = cum[-1]
+        self.bloom = BloomFilter(len(keys), bloom_bits_per_key)
+        self.bloom.add_all(keys, self.hashes)
         # File footprint: data + filter + index approximation.
         self.file_bytes = (self.data_bytes + self.bloom.size_bytes
                            + 24 * len(self._block_starts) + 128)
@@ -94,14 +115,17 @@ class SSTable:
         """Index of the block that could hold ``key`` (-1 if before all)."""
         return bisect_right(self._block_first_keys, key) - 1
 
-    def probe(self, key: bytes) -> ProbeResult:
+    def probe(self, key: bytes,
+              hashes: Optional[tuple[int, int]] = None) -> ProbeResult:
         """Point lookup with cost accounting.
 
         Bloom negative => zero I/O.  Otherwise one data block is read.
+        ``hashes``: the key's hash pair, if the caller has it (see
+        :meth:`BloomFilter.may_contain`).
         """
         if key < self.smallest or key > self.largest:
             return ProbeResult(None, 0, bloom_negative=False)
-        if not self.bloom.may_contain(key):
+        if not self.bloom.may_contain(key, hashes):
             return ProbeResult(None, 0, bloom_negative=True)
         b = self._block_for(key)
         if b < 0:

@@ -15,36 +15,51 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Generator, Optional, Sequence
+from typing import Generator, NamedTuple, Optional, Sequence
 
 from .options import LsmOptions
 from .sstable import SSTable
 
-__all__ = ["FileMetadata", "VersionEdit", "Version", "VersionSet"]
+__all__ = ["FileMetadata", "FileRecord", "VersionEdit", "Version",
+           "VersionSet"]
 
 _largest = attrgetter("largest")
 
 
 @dataclass
 class FileMetadata:
-    """One SST file registered in a version."""
+    """One SST file registered in a version.
+
+    The table's bounds and size are copied to plain attributes: version
+    installs, audits and lookups read them for every file of a level."""
 
     number: int
     level: int
     table: SSTable
     being_compacted: bool = False
+    smallest: bytes = field(init=False, repr=False, compare=False)
+    largest: bytes = field(init=False, repr=False, compare=False)
+    file_bytes: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def smallest(self) -> bytes:
-        return self.table.smallest
+    def __post_init__(self) -> None:
+        t = self.table
+        self.smallest, self.largest, self.file_bytes = (
+            t.smallest, t.largest, t.file_bytes)
 
-    @property
-    def largest(self) -> bytes:
-        return self.table.largest
 
-    @property
-    def file_bytes(self) -> int:
-        return self.table.file_bytes
+class FileRecord(NamedTuple):
+    """What the MANIFEST records of an added file: never the table itself,
+    so the journal does not keep compacted-away tables alive."""
+
+    number: int
+    level: int
+    smallest: bytes
+    largest: bytes
+    file_bytes: int
+
+
+def _record(f) -> FileRecord:
+    return FileRecord(f.number, f.level, f.smallest, f.largest, f.file_bytes)
 
 
 @dataclass
@@ -218,8 +233,9 @@ class VersionSet:
         if fs is not None:
             self._manifest = fs.create("MANIFEST-000001")
         self.edit_count = 0
-        # The durable edit journal (what the MANIFEST file contains); crash
-        # recovery replays it to prove the version state is reconstructible.
+        # The durable edit journal (what the MANIFEST file contains: edits
+        # whose added files are FileRecords); crash recovery replays it to
+        # prove the version state is reconstructible.
         self.manifest_journal: list[VersionEdit] = []
 
     def new_file_number(self) -> int:
@@ -240,7 +256,9 @@ class VersionSet:
         self._validate(new)
         self.current = new
         self.edit_count += 1
-        self.manifest_journal.append(edit)
+        self.manifest_journal.append(VersionEdit(
+            added=list(map(_record, edit.added)),
+            removed=list(edit.removed), reason=edit.reason))
 
     def apply(self, edit: VersionEdit) -> None:
         """Install an edit without manifest I/O (test/bootstrap helper)."""
@@ -255,19 +273,24 @@ class VersionSet:
     def rebuild_from_journal(self) -> Version:
         """Replay the manifest journal from scratch (crash recovery).
 
-        Returns the reconstructed version; raises if replay diverges from
-        the in-memory current version (would indicate a lost update).
+        Returns the reconstructed version, its records resolved to the live
+        files they name; raises if replay diverges from the in-memory
+        current version (would indicate a lost update).
         """
         replayed = Version(self.options.num_levels)
         for edit in self.manifest_journal:
             replayed = replayed.apply_edit(edit)
         self._validate(replayed)
-        got = [[f.number for f in lvl] for lvl in replayed.levels]
-        want = [[f.number for f in lvl] for lvl in self.current.levels]
-        if got != want:
+        if [list(lvl) for lvl in replayed.levels] != [
+                [_record(f) for f in lvl] for lvl in self.current.levels]:
+            got = [[r.number for r in lvl] for lvl in replayed.levels]
+            want = [[f.number for f in lvl] for lvl in self.current.levels]
             raise AssertionError(
                 f"manifest replay diverged: {got} != {want}")
-        return replayed
+        live = {f.number: f for lvl in self.current.levels for f in lvl}
+        return Version(self.options.num_levels,
+                       [[live[r.number] for r in lvl]
+                        for lvl in replayed.levels])
 
     @staticmethod
     def _validate(version: Version) -> None:

@@ -187,3 +187,26 @@ def test_get_from_run_charges_nand_read():
     key = dl.runs[0].smallest
     run(env, dl.get(key))
     assert dl.nand.ledger.total_bytes > nand_before
+
+
+def test_sort_by_key_equals_key_then_newest_first_order():
+    """Dev-LSM sorts dict values (one entry per key) by key alone; on runs
+    that carry tombstones that order equals the old ``(key, -seq)`` one."""
+    from repro.device.devlsm import _sort_key
+    env = Environment()
+    dl = make_devlsm(env, memtable_bytes=200)
+    seq = 0
+    for rnd in range(4):
+        for k in range(rnd, 40, 3):
+            seq += 1
+            if (k + rnd) % 4 == 0:
+                run(env, dl.put(make_entry(encode_key(k), seq, None)))
+            else:
+                put(env, dl, k, seq, b"r%d" % rnd)
+    assert len(dl.runs) > 1
+    assert any(e[2] == KIND_DELETE for r in dl.runs for e in r.entries)
+    merged = dl._merged_entries()
+    old_order = sorted(merged, key=lambda e: (e[0], -e[1]))
+    assert sorted(merged, key=_sort_key) == old_order == merged
+    for r in dl.runs:
+        assert r.entries == sorted(r.entries, key=lambda e: (e[0], -e[1]))

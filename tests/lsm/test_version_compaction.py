@@ -240,7 +240,7 @@ class TestMergeAndSplit:
         from repro.lsm import CompactionJob
         job = CompactionJob(level=0, output_level=1,
                             inputs_low=[new], inputs_high=[old])
-        merged = merge_for_compaction(job, num_levels=7)
+        merged = merge_for_compaction(job, num_levels=7).entries
         assert len(merged) == 11
         assert all(e[1] >= 1000 for e in merged)
 
@@ -250,7 +250,7 @@ class TestMergeAndSplit:
                     block_size=4 * KiB)
         m = FileMetadata(number=1, level=0, table=t)
         job = CompactionJob(level=0, output_level=1, inputs_low=[m])
-        merged = merge_for_compaction(job, num_levels=7)
+        merged = merge_for_compaction(job, num_levels=7).entries
         assert len(merged) == 1 and merged[0][2] == KIND_DELETE
 
     def test_tombstones_dropped_at_bottom(self):
@@ -260,7 +260,7 @@ class TestMergeAndSplit:
                     block_size=4 * KiB)
         m = FileMetadata(number=1, level=5, table=t)
         job = CompactionJob(level=5, output_level=6, inputs_low=[m])
-        merged = merge_for_compaction(job, num_levels=7)
+        merged = merge_for_compaction(job, num_levels=7).entries
         assert [e[0] for e in merged] == [encode_key(2)]
 
     def test_split_into_files_respects_target(self):

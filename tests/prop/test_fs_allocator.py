@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from helpers import run, small_device  # noqa: E402
 
 from repro.lsm import FileSystem, FsError  # noqa: E402
+from repro.lsm.fs import FreeList  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 
 # op := ("create"|"append"|"delete", file-id, size)
@@ -86,3 +87,54 @@ def test_deleted_space_is_reused(sizes):
         fs.delete(f"g0-{i}")
     run(env, write_all(1))
     assert fs._cursor == cursor_after_first  # perfectly recycled
+
+
+class _LinearFirstFit:
+    """The allocator's free list before it was made sublinear: a plain
+    list scanned front to back, used-up extents popped."""
+
+    def __init__(self):
+        self.free = []
+
+    def put(self, off, n):
+        self.free.append((off, n))
+
+    def take(self, nbytes):
+        for i, (off, n) in enumerate(self.free):
+            if n >= nbytes:
+                if n == nbytes:
+                    self.free.pop(i)
+                else:
+                    self.free[i] = (off + nbytes, n - nbytes)
+                return off
+        return None
+
+
+# op := ("put", size) | ("take", size); sizes from a few values so exact
+# fits, and so used-up slots and squeezes, are common.
+_free_ops = st.lists(
+    st.tuples(st.sampled_from(["put", "take", "take"]),
+              st.sampled_from([1, 2, 3, 5, 8, 64, 100, 4096])),
+    min_size=1, max_size=400)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_free_ops, st.sampled_from([1, 2, 4, 64]))
+def test_free_list_takes_what_a_linear_scan_takes(ops, block):
+    fast, slow = FreeList(), _LinearFirstFit()
+    fast.BLOCK = block
+    next_off = 0
+    for kind, size in ops:
+        if kind == "put":
+            fast.put(next_off, size)
+            slow.put(next_off, size)
+            next_off += size
+        else:
+            assert fast.take(size) == slow.take(size)
+        assert fast.extents() == slow.free
+        # Each block's cached maximum is exact, so no block is scanned
+        # in vain.
+        slots = fast._slots
+        assert fast._block_max == [max(n for _, n in slots[i:i + block])
+                                   for i in range(0, len(slots), block)]
